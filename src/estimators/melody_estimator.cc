@@ -142,13 +142,21 @@ void MelodyEstimator::reestimate_slot(std::size_t slot,
   ++em_count_[slot];
   if (collect) {
     static obs::Counter& em_runs = obs::registry().counter("estimator/em_runs");
+    static obs::Counter& em_capped =
+        obs::registry().counter("estimator/em_capped");
     static obs::Summary& em_iterations =
         obs::registry().summary("estimator/em_iterations");
+    static obs::Summary& em_final_loglik =
+        obs::registry().summary("estimator/em_final_loglik");
     em_runs.add();
+    if (!em.converged) em_capped.add();
     em_iterations.record(static_cast<double>(em.iterations));
+    // The fit never computes its likelihood; this extra filter pass is
+    // paid only while metrics are collected.
+    em_final_loglik.record(lds::log_likelihood(anchor, history, em.params));
   }
   if (config_.refilter_after_em) {
-    posterior = lds::filter(anchor, history, em.params).posteriors.back();
+    posterior = lds::final_posterior(anchor, history, em.params);
     if (collect) {
       static obs::Counter& refilters =
           obs::registry().counter("estimator/refilters");

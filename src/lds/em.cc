@@ -14,12 +14,21 @@ LdsParams m_step(const Gaussian& initial_posterior,
   const std::size_t r = history.size();
   LdsParams out;
 
-  // a* = sum_t E[q^t q^{t-1}] / sum_t E[(q^{t-1})^2].
+  // Every sum runs in ascending t: the fitted bits depend on that order.
+  // a* = sum_t E[q^t q^{t-1}] / sum_t E[(q^{t-1})^2], and (independent of a)
+  // eta* = (1/sum N_t) sum_t (SS_t - 2 S_t E[q_t] + N_t E[q_t^2]).
   double cross_sum = 0.0;
   double prev_sq_sum = 0.0;
+  double eta_sum = 0.0;
+  double observations = 0.0;
   for (std::size_t t = 1; t <= r; ++t) {
     cross_sum += moments.cross_moment(t);
     prev_sq_sum += moments.second_moment(t - 1);
+    const ScoreSet& s = history[t - 1];
+    if (s.empty()) continue;
+    eta_sum += s.sum_squares - 2.0 * s.sum * moments.mean(t) +
+               s.count * moments.second_moment(t);
+    observations += s.count;
   }
   out.a = prev_sq_sum > 0.0 ? cross_sum / prev_sq_sum : 1.0;
   out.a = std::clamp(out.a, -options.max_abs_a, options.max_abs_a);
@@ -34,16 +43,6 @@ LdsParams m_step(const Gaussian& initial_posterior,
   out.gamma = r > 0 ? gamma_sum / static_cast<double>(r) : 1.0;
   out.gamma = std::max(out.gamma, options.min_variance);
 
-  // eta* = (1/sum N_t) sum_t (SS_t - 2 S_t E[q_t] + N_t E[q_t^2]).
-  double eta_sum = 0.0;
-  double observations = 0.0;
-  for (std::size_t t = 1; t <= r; ++t) {
-    const ScoreSet& s = history[t - 1];
-    if (s.empty()) continue;
-    eta_sum += s.sum_squares - 2.0 * s.sum * moments.mean(t) +
-               s.count * moments.second_moment(t);
-    observations += s.count;
-  }
   out.eta = observations > 0.0 ? eta_sum / observations : 1.0;
   out.eta = std::max(out.eta, options.min_variance);
   return out;
@@ -62,21 +61,19 @@ EmResult fit_lds(const Gaussian& initial_posterior,
     return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-12});
   };
 
+  SmootherResult moments;  // reused by every iteration's E-step
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const SmootherResult moments =
-        smooth(initial_posterior, history, result.params);
+    smooth_into(initial_posterior, history, result.params, moments);
     const LdsParams updated =
         m_step(initial_posterior, history, moments, options);
-    result.log_likelihood_trace.push_back(
-        log_likelihood(initial_posterior, history, updated));
     ++result.iterations;
 
-    const bool converged =
+    result.converged =
         relative_change(updated.a, result.params.a) < options.tolerance &&
         relative_change(updated.gamma, result.params.gamma) < options.tolerance &&
         relative_change(updated.eta, result.params.eta) < options.tolerance;
     result.params = updated;
-    if (converged) break;
+    if (result.converged) break;
   }
   return result;
 }

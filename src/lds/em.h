@@ -10,7 +10,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "lds/gaussian.h"
 #include "lds/kalman.h"
@@ -32,15 +31,19 @@ struct EmOptions {
 struct EmResult {
   LdsParams params;
   int iterations = 0;
-  /// Filter log-likelihood after each iteration (monotone non-decreasing
-  /// up to floor/clamp effects); the last entry is the final fit quality.
-  std::vector<double> log_likelihood_trace;
+  /// True when the relative-change test stopped the fit; false when it ran
+  /// to max_iterations (or the history was empty). The fit quality is
+  /// log_likelihood(initial_posterior, history, params), which the fit
+  /// itself never computes: nothing it returns depends on it.
+  bool converged = false;
 };
 
 /// Fit theta to one worker's score history by EM, starting from
 /// initial_params. The platform-preset initial posterior alpha-hat(q^0)
 /// anchors the latent chain and is not itself learned (matching Algorithm 3,
-/// where mu-hat^0 / sigma-hat^0 are platform constants).
+/// where mu-hat^0 / sigma-hat^0 are platform constants). The E-step smooths
+/// into one buffer pair allocated per fit, so the iterations allocate
+/// nothing.
 EmResult fit_lds(const Gaussian& initial_posterior,
                  std::span<const ScoreSet> history, const LdsParams& initial_params,
                  const EmOptions& options = {});

@@ -48,6 +48,20 @@ FilterResult filter(const Gaussian& initial_posterior,
   return result;
 }
 
+Gaussian final_posterior(const Gaussian& initial_posterior,
+                         std::span<const ScoreSet> history,
+                         const LdsParams& params) {
+  params.validate();
+  if (initial_posterior.var <= 0.0) {
+    throw std::domain_error("filter: initial posterior variance must be > 0");
+  }
+  Gaussian posterior = initial_posterior;
+  for (const ScoreSet& scores : history) {
+    posterior = filter_step(posterior, scores, params);
+  }
+  return posterior;
+}
+
 double log_likelihood(const Gaussian& initial_posterior,
                       std::span<const ScoreSet> history,
                       const LdsParams& params) {

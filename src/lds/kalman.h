@@ -78,6 +78,13 @@ struct FilterResult {
 FilterResult filter(const Gaussian& initial_posterior,
                     std::span<const ScoreSet> history, const LdsParams& params);
 
+/// The last posterior of filter(): the same filter_step fold, with the same
+/// preconditions and throws, but no per-run priors, posteriors or log
+/// marginals. An empty history returns the initial posterior.
+Gaussian final_posterior(const Gaussian& initial_posterior,
+                         std::span<const ScoreSet> history,
+                         const LdsParams& params);
+
 /// Total log-likelihood of a history (convenience wrapper around filter()).
 double log_likelihood(const Gaussian& initial_posterior,
                       std::span<const ScoreSet> history, const LdsParams& params);

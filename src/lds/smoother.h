@@ -36,7 +36,14 @@ struct SmootherResult {
   }
 };
 
-/// Full forward-backward smoothing pass over a worker's history.
+/// Full forward-backward smoothing pass over a worker's history, written
+/// into caller-owned buffers: `out` is resized to r + 1 and overwritten in
+/// place, so a caller that reuses it (EM iterations) allocates nothing.
+void smooth_into(const Gaussian& initial_posterior,
+                 std::span<const ScoreSet> history, const LdsParams& params,
+                 SmootherResult& out);
+
+/// smooth_into() into a fresh result.
 SmootherResult smooth(const Gaussian& initial_posterior,
                       std::span<const ScoreSet> history,
                       const LdsParams& params);

@@ -137,6 +137,121 @@ auction::AllocationResult run_greedy(
   return result;
 }
 
+lds::SmootherResult smooth(const lds::Gaussian& initial_posterior,
+                           std::span<const lds::ScoreSet> history,
+                           const lds::LdsParams& params) {
+  params.validate();
+  const std::size_t r = history.size();
+
+  // Forward pass over the augmented sequence q^0..q^r. q^0 carries no
+  // observation: its filtered posterior is the preset initial distribution.
+  std::vector<lds::Gaussian> filtered(r + 1);
+  std::vector<lds::Gaussian> predicted(r + 1);  // p(q^t | S^1..t-1)
+  filtered[0] = initial_posterior;
+  predicted[0] = initial_posterior;  // unused; kept for index symmetry
+  for (std::size_t t = 1; t <= r; ++t) {
+    predicted[t] = lds::predict(filtered[t - 1], params);
+    filtered[t] = lds::correct(predicted[t], history[t - 1], params);
+  }
+
+  // Backward (RTS) pass. With smoothing gain
+  //   J_t = a * Var(q^t | S^1..t) / Var(q^{t+1} | S^1..t):
+  //   mean:  m~_t = m_t + J_t (m~_{t+1} - a m_t)
+  //   var:   v~_t = v_t + J_t^2 (v~_{t+1} - P_{t+1})
+  //   cross: Cov(q^t, q^{t+1} | all) = J_t * v~_{t+1}
+  lds::SmootherResult result;
+  result.smoothed.assign(r + 1, lds::Gaussian{});
+  result.cross_covariance.assign(r + 1, 0.0);
+  result.smoothed[r] = filtered[r];
+  for (std::size_t t = r; t > 0; --t) {
+    const lds::Gaussian& f = filtered[t - 1];
+    const double p_next = predicted[t].var;  // P_{t} = a^2 v_{t-1} + gamma
+    const double gain = params.a * f.var / p_next;
+    const lds::Gaussian& next = result.smoothed[t];
+    result.smoothed[t - 1] = {
+        f.mean + gain * (next.mean - params.a * f.mean),
+        f.var + gain * gain * (next.var - p_next)};
+    result.cross_covariance[t] = gain * next.var;
+  }
+  return result;
+}
+
+lds::LdsParams m_step(const lds::Gaussian& initial_posterior,
+                      std::span<const lds::ScoreSet> history,
+                      const lds::SmootherResult& moments,
+                      const lds::EmOptions& options) {
+  (void)initial_posterior;  // the q^0 prior is fixed, not re-estimated
+  const std::size_t r = history.size();
+  lds::LdsParams out;
+
+  // a* = sum_t E[q^t q^{t-1}] / sum_t E[(q^{t-1})^2].
+  double cross_sum = 0.0;
+  double prev_sq_sum = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    cross_sum += moments.cross_moment(t);
+    prev_sq_sum += moments.second_moment(t - 1);
+  }
+  out.a = prev_sq_sum > 0.0 ? cross_sum / prev_sq_sum : 1.0;
+  out.a = std::clamp(out.a, -options.max_abs_a, options.max_abs_a);
+
+  // gamma* = (1/r) sum_t E[(q^t - a q^{t-1})^2]
+  //        = (1/r) sum_t (E[q_t^2] - 2a E[q_t q_{t-1}] + a^2 E[q_{t-1}^2]).
+  double gamma_sum = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    gamma_sum += moments.second_moment(t) - 2.0 * out.a * moments.cross_moment(t) +
+                 out.a * out.a * moments.second_moment(t - 1);
+  }
+  out.gamma = r > 0 ? gamma_sum / static_cast<double>(r) : 1.0;
+  out.gamma = std::max(out.gamma, options.min_variance);
+
+  // eta* = (1/sum N_t) sum_t (SS_t - 2 S_t E[q_t] + N_t E[q_t^2]).
+  double eta_sum = 0.0;
+  double observations = 0.0;
+  for (std::size_t t = 1; t <= r; ++t) {
+    const lds::ScoreSet& s = history[t - 1];
+    if (s.empty()) continue;
+    eta_sum += s.sum_squares - 2.0 * s.sum * moments.mean(t) +
+               s.count * moments.second_moment(t);
+    observations += s.count;
+  }
+  out.eta = observations > 0.0 ? eta_sum / observations : 1.0;
+  out.eta = std::max(out.eta, options.min_variance);
+  return out;
+}
+
+EmResult fit_lds(const lds::Gaussian& initial_posterior,
+                 std::span<const lds::ScoreSet> history,
+                 const lds::LdsParams& initial_params,
+                 const lds::EmOptions& options) {
+  EmResult result;
+  result.params = initial_params;
+  result.params.gamma = std::max(result.params.gamma, options.min_variance);
+  result.params.eta = std::max(result.params.eta, options.min_variance);
+  if (history.empty()) return result;
+
+  auto relative_change = [](double a, double b) {
+    return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-12});
+  };
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const lds::SmootherResult moments =
+        reference::smooth(initial_posterior, history, result.params);
+    const lds::LdsParams updated =
+        reference::m_step(initial_posterior, history, moments, options);
+    result.log_likelihood_trace.push_back(
+        lds::log_likelihood(initial_posterior, history, updated));
+    ++result.iterations;
+
+    const bool converged =
+        relative_change(updated.a, result.params.a) < options.tolerance &&
+        relative_change(updated.gamma, result.params.gamma) < options.tolerance &&
+        relative_change(updated.eta, result.params.eta) < options.tolerance;
+    result.params = updated;
+    if (converged) break;
+  }
+  return result;
+}
+
 void AosKalmanChain::register_worker(auction::WorkerId id) {
   State state;
   state.posterior = config_.initial_posterior;
@@ -165,8 +280,8 @@ void AosKalmanChain::observe(auction::WorkerId id,
   if (config_.reestimation_period > 0 &&
       state.runs_since_em >= config_.reestimation_period &&
       state.observed_runs >= config_.min_history_for_em) {
-    const lds::EmResult em = lds::fit_lds(state.window_anchor, state.history,
-                                          state.params, config_.em_options);
+    const EmResult em = reference::fit_lds(state.window_anchor, state.history,
+                                           state.params, config_.em_options);
     state.params = em.params;
     state.runs_since_em = 0;
     ++state.em_count;

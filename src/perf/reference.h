@@ -1,7 +1,8 @@
 // Scalar (pre-SoA) reference implementations of the two hot paths the SoA
 // refactor rewrites: Algorithm 1's greedy ranking / pre-allocation /
 // pricing over pointer-chasing AoS state, and the MELODY Kalman/EM chain
-// stored as one hash-map node per worker.
+// stored as one hash-map node per worker, refit by a frozen copy of the
+// EM learner as it was before its in-place rewrite.
 //
 // They are the refactor's ground truth twice over:
 //   * tests/test_soa_equivalence.cc and test_mechanism_properties.cc assert
@@ -24,7 +25,9 @@
 #include "auction/types.h"
 #include "estimators/melody_estimator.h"
 #include "lds/gaussian.h"
+#include "lds/em.h"
 #include "lds/kalman.h"
+#include "lds/smoother.h"
 
 namespace melody::perf::reference {
 
@@ -56,6 +59,32 @@ auction::AllocationResult run_greedy(
     std::span<const auction::WorkerProfile> workers,
     std::span<const auction::Task> tasks,
     const auction::AuctionConfig& config, auction::PaymentRule rule);
+
+/// Pre-change EM (Algorithm 2), frozen: the allocating RTS smoother, the
+/// three-loop M-step, and fit_lds with its per-iteration likelihood pass
+/// into log_likelihood_trace. Production lds::fit_lds must return the same
+/// params and iterations bit for bit; AosKalmanChain refits through this
+/// copy, so the chain oracle and kalman_em_chain's speedup_vs_scalar
+/// compare against the code as it was before the in-place rewrite.
+struct EmResult {
+  lds::LdsParams params;
+  int iterations = 0;
+  std::vector<double> log_likelihood_trace;
+};
+
+lds::SmootherResult smooth(const lds::Gaussian& initial_posterior,
+                           std::span<const lds::ScoreSet> history,
+                           const lds::LdsParams& params);
+
+lds::LdsParams m_step(const lds::Gaussian& initial_posterior,
+                      std::span<const lds::ScoreSet> history,
+                      const lds::SmootherResult& moments,
+                      const lds::EmOptions& options);
+
+EmResult fit_lds(const lds::Gaussian& initial_posterior,
+                 std::span<const lds::ScoreSet> history,
+                 const lds::LdsParams& initial_params,
+                 const lds::EmOptions& options = {});
 
 /// AoS twin of estimators::MelodyEstimator: identical update semantics
 /// (Theorem 3 filter step, periodic EM, window sliding, clamps) but the
