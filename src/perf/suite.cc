@@ -31,11 +31,9 @@
 #include "sim/platform.h"
 #include "sim/scenario.h"
 #include "sim/worker_model.h"
-#include "svc/loop.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/trace_log.h"
-#include "svc/service.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -488,11 +486,11 @@ BenchmarkResult bench_svc_serve(bool quick, int repeats) {
        {"runs_horizon", static_cast<double>(config.scenario.runs)},
        {"seed", static_cast<double>(config.seed)}},
       [&] {
-        svc::AuctionService service(config);
-        svc::ServiceLoop loop(service, 256);
+        svc::ShardedService service(config);
         std::istringstream in(trace);
         std::ostringstream out;
-        const svc::StdioResult outcome = svc::run_stdio_session(loop, in, out);
+        const svc::StdioResult outcome =
+            svc::run_stdio_session(service, in, out);
         g_sink = g_sink + static_cast<double>(outcome.requests) +
                  static_cast<double>(out.str().size());
       },

@@ -29,7 +29,6 @@
 // repopulates — allocation is unaffected because the ladder is a canonical
 // function of the live bids.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -237,19 +236,8 @@ void Platform::load(std::istream& in) {
 }
 
 void save_checkpoint(const Platform& platform, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("checkpoint: cannot open " + tmp);
-    }
-    platform.save(out);
-    out.flush();
-    if (!out) throw std::runtime_error("checkpoint: write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: rename failed: " + path);
-  }
+  binio::write_file_atomic(
+      path, [&platform](std::ostream& out) { platform.save(out); });
 }
 
 void load_checkpoint(Platform& platform, const std::string& path) {

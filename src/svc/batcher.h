@@ -102,7 +102,7 @@ class RunBatcher {
 
   /// Checkpoint support: restore the exact accumulation state.
   void restore(int pending_bids, double oldest_bid_time,
-               double accrued_budget, int pending_arrivals = 0) noexcept {
+               double accrued_budget, int pending_arrivals) noexcept {
     pending_bids_ = pending_bids;
     oldest_bid_time_ = oldest_bid_time;
     accrued_budget_ = accrued_budget;

@@ -50,7 +50,8 @@ struct ServiceConfig {
   /// this session (0: never). Lets demos and CI pipelines terminate.
   int exit_after_runs = 0;
   /// Platform shards the worker population splits across (svc/shard.h).
-  /// K=1 is the plain single-platform service, bit-identical to PR 4.
+  /// K=1 is a one-shard router deployment, bit-identical to a bare
+  /// AuctionService.
   int shards = 1;
   /// Bounded request queue capacity per shard; a full queue rejects with
   /// retry_after_ms (explicit backpressure, never an unbounded buffer).

@@ -1,9 +1,10 @@
-// ServiceLoop: the single consumer thread behind the bounded request queue.
-// Producers (connection handlers, the stdio driver, tests) call try_submit
-// from any thread; it never blocks. When the queue is full the submission is
-// rejected immediately and the caller sends the client an "overloaded"
-// response carrying retry_after_ms — backpressure is explicit and visible
-// on the wire, never an unbounded buffer or a silent stall.
+// ServiceLoop: one shard's single consumer thread behind its bounded request
+// queue (PlatformShard in svc/shard.h owns one per shard). Producers (the
+// router on behalf of the TCP front end or the stdio session, tests) call
+// try_submit from any thread; it never blocks. When the queue is full the
+// submission is rejected immediately and the caller sends the client an
+// "overloaded" response carrying retry_after_ms — backpressure is explicit
+// and visible on the wire, never an unbounded buffer or a silent stall.
 //
 // The loop thread is the only thread that touches the AuctionService. In
 // real-clock mode it feeds the service clock from a steady_clock epoch and
@@ -68,7 +69,7 @@ class ServiceLoop {
   /// Process at most one queued envelope, waiting up to `timeout` for one,
   /// then fire any due batches. Returns true if an envelope was processed.
   /// This is run()'s body factored out for single-threaded drivers (the
-  /// stdio session, tests).
+  /// router's stdio session, tests).
   bool poll_once(std::chrono::nanoseconds timeout);
 
   /// Stop accepting new requests; queued envelopes still drain.
@@ -84,20 +85,5 @@ class ServiceLoop {
   AuctionService& service_;
   BoundedQueue<Envelope> queue_;
 };
-
-/// Outcome tallies of one stdio session (melody_serve --stdin).
-struct StdioResult {
-  std::size_t requests = 0;      // lines parsed and applied
-  std::size_t parse_errors = 0;  // lines answered with a protocol error
-  std::size_t rejected = 0;      // lines rejected by backpressure
-  bool shutdown = false;         // session ended via a shutdown op
-};
-
-/// Drive a service from line-delimited requests on `in`, one response line
-/// on `out` per request, in order. Single-threaded: every line goes through
-/// try_submit + poll_once, exercising the same queue/backpressure path as
-/// the TCP server. Returns at EOF or after a shutdown op.
-StdioResult run_stdio_session(ServiceLoop& loop, std::istream& in,
-                              std::ostream& out);
 
 }  // namespace melody::svc

@@ -1,7 +1,6 @@
 #include "svc/router.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <mutex>
@@ -24,6 +23,17 @@ namespace {
 
 constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'S', 'V', 'C', 'K'};
 constexpr std::uint32_t kComposedVersion = 2;
+
+// The one composed-container writer: magic, version 2, the body count, then
+// each shard's v3 body (AuctionService::save_state) length-prefixed.
+// `body(i)` yields body i on demand, so a direct save holds one at a time.
+template <typename Body>
+void write_composed(std::ostream& out, std::size_t count, Body&& body) {
+  out.write(kMagic, sizeof kMagic);
+  binio::write_u32(out, kComposedVersion);
+  binio::write_u32(out, static_cast<std::uint32_t>(count));
+  for (std::size_t i = 0; i < count; ++i) binio::write_bytes(out, body(i));
+}
 
 // Response fields that sum across shards in a merged broadcast reply
 // (counts and budgets of independent sub-markets).
@@ -286,7 +296,7 @@ PushResult ShardedService::broadcast(
   } else if (request.op == Op::kShutdown &&
              !config_.checkpoint_path.empty()) {
     // The composed v2 file is written by finalize() once the shards have
-    // drained; the reply advertises it like the unsharded service does.
+    // drained; the reply advertises where it will land.
     fan->post = [path = config_.checkpoint_path](Response& merged) {
       merged.fields.set("checkpoint", WireValue::of(path));
     };
@@ -395,26 +405,12 @@ void ShardedService::complete_checkpoint(
     response = Response::failure(job->id, "checkpoint: service shutting down");
   } else {
     try {
-      const std::string tmp = job->path + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-          throw std::runtime_error("svc: cannot write checkpoint: " + tmp);
-        }
-        out.write(kMagic, sizeof kMagic);
-        binio::write_u32(out, kComposedVersion);
-        binio::write_u32(out, static_cast<std::uint32_t>(job->blobs.size()));
-        for (const std::string& blob : job->blobs) {
-          binio::write_bytes(out, blob);
-        }
-        if (!out) {
-          throw std::runtime_error("svc: short write on checkpoint: " + tmp);
-        }
-      }
-      if (std::rename(tmp.c_str(), job->path.c_str()) != 0) {
-        throw std::runtime_error("svc: cannot rename checkpoint into place: " +
-                                 job->path);
-      }
+      binio::write_file_atomic(job->path, [&job](std::ostream& out) {
+        write_composed(out, job->blobs.size(),
+                       [&job](std::size_t i) -> const std::string& {
+                         return job->blobs[i];
+                       });
+      });
       response.fields.set("path", WireValue::of(job->path));
       response.fields.set(
           "run", WireValue::of(static_cast<std::int64_t>(
@@ -472,24 +468,9 @@ PushResult ShardedService::submit_shard_export(
         span.annotate("detach", request.detach ? 1 : 0);
         Response response = Response::success(request.id);
         try {
-          const std::string tmp = request.path + ".tmp";
-          {
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            if (!out) {
-              throw std::runtime_error("cluster: cannot write envelope: " +
-                                       tmp);
-            }
+          binio::write_file_atomic(request.path, [&service](std::ostream& out) {
             service.save_migration(out);
-            out.flush();
-            if (!out) {
-              throw std::runtime_error("cluster: short write on envelope: " +
-                                       tmp);
-            }
-          }
-          if (std::rename(tmp.c_str(), request.path.c_str()) != 0) {
-            throw std::runtime_error(
-                "cluster: cannot rename envelope into place: " + request.path);
-          }
+          });
           response.fields.set(
               "shard", WireValue::of(static_cast<std::int64_t>(request.shard)));
           response.fields.set("path", WireValue::of(request.path));
@@ -649,8 +630,8 @@ Response merge_shard_parts(Op op, std::int64_t id,
   // re-homed under "shard<g>/..." (GLOBAL index) after the merged totals.
   // Guarded on the deployment's K, not the part count, so a cluster member
   // owning one shard of a K-shard deployment still replies in the K-shard
-  // shape; a true single-shard reply stays byte-identical to the unsharded
-  // service (the bit-identity contract).
+  // shape; a true single-shard reply stays byte-identical to a bare
+  // AuctionService's (the bit-identity contract).
   if (global_shards > 1 &&
       (rehome_all || op == Op::kStats || op == Op::kTraceStatus)) {
     for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -690,21 +671,8 @@ void ShardedService::finalize() {
   if (finalized_) return;
   finalized_ = true;
   if (config_.checkpoint_path.empty()) return;
-  const std::string tmp = config_.checkpoint_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("svc: cannot write checkpoint: " + tmp);
-    }
-    save_state(out);
-    if (!out) {
-      throw std::runtime_error("svc: short write on checkpoint: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), config_.checkpoint_path.c_str()) != 0) {
-    throw std::runtime_error("svc: cannot rename checkpoint into place: " +
-                             config_.checkpoint_path);
-  }
+  binio::write_file_atomic(config_.checkpoint_path,
+                           [this](std::ostream& out) { save_state(out); });
 }
 
 std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
@@ -717,14 +685,11 @@ std::vector<sim::RunRecord> ShardedService::aggregated_records() const {
 }
 
 void ShardedService::save_state(std::ostream& out) const {
-  out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, kComposedVersion);
-  binio::write_u32(out, static_cast<std::uint32_t>(shards_.size()));
-  for (const auto& shard : shards_) {
+  write_composed(out, shards_.size(), [this](std::size_t i) {
     std::ostringstream blob;
-    shard->service().save_state(blob);
-    binio::write_bytes(out, blob.str());
-  }
+    shards_[i]->service().save_state(blob);
+    return std::move(blob).str();
+  });
 }
 
 void ShardedService::load_state(std::istream& in) {
@@ -735,23 +700,6 @@ void ShardedService::load_state(std::istream& in) {
     throw std::runtime_error("svc: bad checkpoint magic");
   }
   const std::uint32_t version = binio::read_u32(in, "svc checkpoint version");
-  if (version == 1 || version == 3) {
-    // A plain single-platform snapshot (v1, or v3 with pending task
-    // arrivals): only a K=1 deployment can adopt it (a composed deployment
-    // cannot split one platform after the fact).
-    if (shard_count() != 1) {
-      throw std::runtime_error(
-          "svc: v1 checkpoint requires a single-shard deployment");
-    }
-    // Re-feed the already-consumed header to the shard's own loader.
-    std::ostringstream rest;
-    rest.write(kMagic, sizeof kMagic);
-    binio::write_u32(rest, version);
-    rest << in.rdbuf();
-    std::istringstream replay(rest.str());
-    shards_.front()->service().load_state(replay);
-    return;
-  }
   if (version != kComposedVersion) {
     throw std::runtime_error("svc: unsupported checkpoint version " +
                              std::to_string(version));

@@ -10,16 +10,19 @@
 // ANDs, run cursors take the max — so a K-shard deployment answers with
 // union-platform numbers.
 //
-// Checkpoints compose: the router writes MLDYSVCK v2 — a header plus K
-// length-prefixed v1 sub-snapshots — coordinated by force-pushed tasks
-// through each shard's own queue, so every sub-snapshot is taken on its
-// consumer thread between requests (per-shard consistency, no locks). v1
-// files restore directly when K == 1.
+// The router is the only service front end (K >= 1) and the only writer
+// and reader of service checkpoint files. The one on-disk format is the
+// composed MLDYSVCK v2 container — a header plus K length-prefixed v3 shard
+// bodies (AuctionService::save_state) — published atomically through
+// util::binio::write_file_atomic. The checkpoint op is coordinated by
+// force-pushed tasks through each shard's own queue, so every body is taken
+// on its consumer thread between requests (per-shard consistency, no
+// locks); restore() accepts composed v2 only.
 //
-// At K=1 every path degenerates to the plain single-platform service:
-// identical responses, identical trajectories, identical checkpoint
-// payloads (wrapped in the v2 header) — the bit-identity contract the
-// shard tests pin.
+// At K=1 every path degenerates to the single-platform service: responses
+// byte-identical to a bare AuctionService applying the same lines, and
+// trajectories identical to the melody_sim batch run — the bit-identity
+// contract the svc and shard tests pin.
 //
 // Cluster mode (configure_cluster) turns one instance into one member of
 // a multi-process deployment: every member plans the full global-K shard
@@ -38,6 +41,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -60,8 +64,9 @@ class ShardedService {
   ShardedService(const ShardedService&) = delete;
   ShardedService& operator=(const ShardedService&) = delete;
 
-  /// Load a composed checkpoint (v2; plain v1 accepted when K == 1).
-  /// Call before start(). Throws std::runtime_error on mismatch.
+  /// Load a composed v2 checkpoint. Call before start(). Throws
+  /// std::runtime_error on I/O failure, any other format or version, or a
+  /// shard-count mismatch.
   void restore(const std::string& path);
 
   /// Spawn the K consumer threads (TCP deployments). Sync drivers (the
@@ -147,7 +152,8 @@ class ShardedService {
   std::vector<sim::RunRecord> aggregated_records() const;
 
   /// Composed v2 snapshot of every shard, taken directly (requires
-  /// quiescence). The async checkpoint op uses per-shard tasks instead.
+  /// quiescence). The async checkpoint op collects the same bodies through
+  /// per-shard tasks; both go through one container writer.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
 
@@ -155,8 +161,8 @@ class ShardedService {
   // One in-flight broadcast: collects the K per-shard responses and fires
   // the merged one when the last arrives (on that shard's thread).
   struct FanOut;
-  // One in-flight coordinated checkpoint: per-shard sub-snapshot blobs
-  // plus the countdown; the last shard composes and writes the file.
+  // One in-flight coordinated checkpoint: per-shard body blobs plus the
+  // countdown; the last shard composes and publishes the file.
   struct CheckpointJob;
 
   PushResult broadcast(const Request& request,
@@ -217,11 +223,21 @@ Response merge_shard_parts(Op op, std::int64_t id,
 
 class TraceRecorder;
 
+/// Outcome tallies of one stdio session (melody_serve --stdin).
+struct StdioResult {
+  std::size_t requests = 0;      // lines parsed and applied
+  std::size_t parse_errors = 0;  // lines answered with a protocol error
+  std::size_t rejected = 0;      // lines rejected by backpressure
+  bool shutdown = false;         // session ended via a shutdown op
+};
+
 /// Drive a sharded service from line-delimited requests on `in`, one
 /// response line on `out` per request, in order. Single-threaded: every
 /// line is submitted and then all shards are polled until the merged
-/// response has been delivered. At K=1 the output is bit-identical to the
-/// ServiceLoop overload. When `recorder` is given every frame is recorded
+/// response has been delivered, exercising the same queue/backpressure
+/// path as the TCP server. Returns at EOF or after a shutdown op. At K=1
+/// the output is bit-identical to a bare AuctionService applying the same
+/// lines. When `recorder` is given every frame is recorded
 /// as connection 1 (stdio sessions have exactly one client) with the
 /// router's routing decision; when tracing is enabled each line also mints
 /// a root trace context, exactly like the TCP front end.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,10 +22,9 @@ constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'S', 'V', 'C', 'K'};
 // checkpoint deliberately omits (request tally, run records). Version 1.
 constexpr char kMigrationMagic[8] = {'M', 'L', 'D', 'Y', 'M', 'I', 'G', 'R'};
 constexpr std::uint32_t kMigrationVersion = 1;
-// The MLDYSVCK version namespace is shared with the sharded router's
-// composed format, which owns version 2 — the plain service format jumps
-// from 1 to 3. v3 appends the rolling trigger's queued task arrivals after
-// the accrued budget; v1 checkpoints restore with zero pending arrivals.
+// The MLDYSVCK version namespace is shared with the router's composed
+// container, which owns version 2; a shard body is version 3 and no other
+// version loads.
 constexpr std::uint32_t kVersion = 3;
 // Sub-stream salt for newcomer trajectories: outside the per-(worker, run)
 // key space Platform::step() uses (runs are small positive integers), so a
@@ -78,12 +75,6 @@ AuctionService::AuctionService(ServiceConfig config)
         "w" + std::to_string(config_.worker_name_offset + w.id()), w.id());
   }
   first_session_run_ = platform_->current_run();
-}
-
-void AuctionService::restore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("svc: cannot open checkpoint: " + path);
-  load_state(in);
 }
 
 obs::Counter& AuctionService::metric_counter(obs::Counter*& slot,
@@ -177,26 +168,19 @@ Response AuctionService::dispatch(const Request& request) {
     case Op::kTraceStatus:
       handle_trace_status(response);
       break;
-    case Op::kCheckpoint:
-      handle_checkpoint(request, response);
-      break;
     case Op::kShutdown:
       request_shutdown();
-      finalize();
       response.fields.set("runs_total", of_int(platform_->current_run() - 1));
-      if (!config_.checkpoint_path.empty()) {
-        response.fields.set("checkpoint",
-                            WireValue::of(config_.checkpoint_path));
-      }
       break;
+    case Op::kCheckpoint:
     case Op::kShardExport:
     case Op::kShardImport:
-      // Shard handoff is a router-level mechanic (the sharded service
-      // intercepts these before apply()); a standalone service has no
-      // routing table to hand a shard off from.
+      // Checkpoint files and shard handoff are router-level mechanics (the
+      // sharded service intercepts these before apply()); a bare shard owns
+      // no file and no routing table.
       response = Response::failure(
           request.id, std::string(to_string(request.op)) +
-                          ": cluster deployments only");
+                          ": router-level op, not served by a bare shard");
       break;
   }
   return response;
@@ -491,21 +475,6 @@ void AuctionService::handle_trace_status(Response& response) {
   add_timer("run_time", "svc/run_time");
 }
 
-void AuctionService::handle_checkpoint(const Request& request,
-                                       Response& response) {
-  const std::string& path =
-      request.path.empty() ? config_.checkpoint_path : request.path;
-  if (path.empty()) {
-    response = Response::failure(
-        request.id,
-        "checkpoint: no path in the request and none configured");
-    return;
-  }
-  write_checkpoint(path);
-  response.fields.set("path", WireValue::of(path));
-  response.fields.set("run", of_int(platform_->current_run() - 1));
-}
-
 int AuctionService::execute_due_runs(Response* response) {
   int executed = 0;
   while (batcher_.should_fire(now_)) {
@@ -536,10 +505,6 @@ void AuctionService::execute_one_run(int batch_bids) {
           &obs::registry().summary(config_.obs_prefix + "svc/batch_size");
     }
     batch_summary_->record(batch_bids);
-  }
-  const int run = records_.back().run;
-  if (config_.checkpoint_every > 0 && run % config_.checkpoint_every == 0) {
-    write_checkpoint(config_.checkpoint_path);
   }
   if (config_.exit_after_runs > 0 &&
       static_cast<int>(records_.size()) >= config_.exit_after_runs) {
@@ -588,14 +553,6 @@ void AuctionService::note_overload_reject() {
   }
 }
 
-void AuctionService::finalize() {
-  if (finalized_) return;
-  if (!config_.checkpoint_path.empty()) {
-    write_checkpoint(config_.checkpoint_path);
-  }
-  finalized_ = true;
-}
-
 void AuctionService::save_state(std::ostream& out) const {
   obs::ScopedSpan span("svc/checkpoint_save");
   span.annotate("run", platform_->current_run() - 1);
@@ -619,9 +576,7 @@ void AuctionService::load_state(std::istream& in) {
     throw std::runtime_error("svc: bad checkpoint magic");
   }
   const std::uint32_t version = binio::read_u32(in, "svc version");
-  if (version != 1 && version != kVersion) {
-    // Version 2 is the sharded router's composed container, not a plain
-    // service snapshot — it cannot be adopted here.
+  if (version != kVersion) {
     throw std::runtime_error("svc: unsupported checkpoint version " +
                              std::to_string(version));
   }
@@ -629,15 +584,13 @@ void AuctionService::load_state(std::istream& in) {
   const int pending = binio::read_i32(in, "svc pending bids");
   const double oldest = binio::read_f64(in, "svc oldest bid time");
   const double accrued = binio::read_f64(in, "svc accrued budget");
-  const int arrivals =
-      version >= 3 ? binio::read_i32(in, "svc pending arrivals") : 0;
+  const int arrivals = binio::read_i32(in, "svc pending arrivals");
   registry_.load(in);
   platform_->load(in);
   now_ = now;
   batcher_.restore(pending, oldest, accrued, arrivals);
   first_session_run_ = platform_->current_run();
   records_.clear();
-  finalized_ = false;
 }
 
 void AuctionService::save_migration(std::ostream& out) const {
@@ -714,20 +667,6 @@ void AuctionService::load_migration(std::istream& in) {
     r.scores_corrupted = static_cast<std::size_t>(
         binio::read_u64(in, "migration scores corrupted"));
     records_.push_back(r);
-  }
-}
-
-void AuctionService::write_checkpoint(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("svc: cannot open " + tmp);
-    save_state(out);
-    out.flush();
-    if (!out) throw std::runtime_error("svc: write failure on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("svc: cannot rename " + tmp + " to " + path);
   }
 }
 

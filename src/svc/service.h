@@ -1,8 +1,10 @@
-// AuctionService: the online serving runtime around sim::Platform. One
-// instance owns the full mechanism/estimator/platform stack and is driven
-// by a single thread (the event loop in svc/loop.h, or a test calling
+// AuctionService: the shard engine around sim::Platform. One instance owns
+// the full mechanism/estimator/platform stack of one shard and is driven by
+// a single thread (its shard's ServiceLoop in svc/loop.h, or a test calling
 // apply() directly); thread-safety lives in the queue in front of it, not
-// here.
+// here. Every deployment, K=1 included, fronts its shards with the router
+// (svc/router.h), which owns checkpoint files, their cadence, and the
+// stdio/TCP sessions.
 //
 // Execution model: requests mutate accumulation state (pending bids via the
 // session registry + RunBatcher, accrued budget), and whenever the batch
@@ -12,10 +14,12 @@
 // (--stdin traces, tests) every run outcome is a pure function of the
 // request trace, bit-identical to the equivalent melody_sim batch run.
 //
-// Checkpoints wrap the PR-3 platform snapshot with the service-level state
-// (logical clock, batcher accumulation, session registry) under the magic
-// "MLDYSVCK"; writes are atomic (tmp + rename). Run records are not part of
-// a checkpoint — query_run over pre-resume runs reports them unavailable.
+// save_state/load_state (de)serialize one shard's checkpoint body: the
+// platform snapshot wrapped with the service-level state (logical clock,
+// batcher accumulation, session registry) under the magic "MLDYSVCK",
+// version 3. The router composes K such bodies into the on-disk file. Run
+// records are not part of a checkpoint — query_run over pre-resume runs
+// reports them unavailable.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +58,10 @@ class AuctionService {
   AuctionService(const AuctionService&) = delete;
   AuctionService& operator=(const AuctionService&) = delete;
 
-  /// Resume from a service checkpoint written by this class. Replaces the
-  /// registry, platform state, clock, and batcher accumulation wholesale;
-  /// must be called before any request is applied. Throws
-  /// std::runtime_error on I/O failure or malformed input.
-  void restore(const std::string& path);
-
   /// Process one request. Must only be called from one thread (the event
-  /// loop). Never throws for client errors — they become ok:false
-  /// responses; only I/O failures during checkpointing propagate as an
-  /// error response too (the service stays usable).
+  /// loop). Never throws — client errors become ok:false responses. The
+  /// router-level ops (checkpoint, shard_export, shard_import) are
+  /// answered with a structured failure: a bare shard has no file to own.
   Response apply(const Request& request);
 
   /// Fire any due batches without an attached request (deadline trigger
@@ -83,8 +81,7 @@ class AuctionService {
   void note_overload_reject();
 
   /// Count one control-plane operation (a coordinated-checkpoint task) in
-  /// the request tally, so stats "requests" matches the unsharded service
-  /// where the same operation goes through apply().
+  /// the request tally, so stats "requests" counts it like any request.
   void note_control_request();
 
   /// Observe every run the platform executes (forwarded to
@@ -97,10 +94,6 @@ class AuctionService {
   void request_shutdown() noexcept { shutdown_requested_ = true; }
   bool shutdown_requested() const noexcept { return shutdown_requested_; }
 
-  /// Final checkpoint if one is configured (idempotent; also invoked by
-  /// the shutdown op). Throws std::runtime_error on I/O failure.
-  void finalize();
-
   bool manual_clock() const noexcept { return config_.manual_clock; }
   const ServiceConfig& config() const noexcept { return config_; }
   const sim::Platform& platform() const noexcept { return *platform_; }
@@ -111,7 +104,10 @@ class AuctionService {
     return records_;
   }
 
-  /// Serialize / deserialize the full service state (checkpoint body).
+  /// Serialize / deserialize the full service state (MLDYSVCK v3 checkpoint
+  /// body). load_state replaces the registry, platform state, clock and
+  /// batcher accumulation wholesale and throws std::runtime_error on
+  /// malformed input or any other version.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
 
@@ -119,7 +115,7 @@ class AuctionService {
   /// MLDYSVCK checkpoint body plus the session state a checkpoint
   /// deliberately drops (request tallies, this session's run records). A
   /// migrated shard must answer every subsequent frame byte-identically to
-  /// one that never moved, so the handoff carries what restore() does not.
+  /// one that never moved, so the handoff carries what a checkpoint does not.
   void save_migration(std::ostream& out) const;
   void load_migration(std::istream& in);
 
@@ -134,14 +130,12 @@ class AuctionService {
   void handle_query_run(const Request& request, Response& response);
   void handle_stats(Response& response);
   void handle_trace_status(Response& response);
-  void handle_checkpoint(const Request& request, Response& response);
   void handle_hello(Response& response);
 
   /// Execute platform runs while the batch policy fires; annotate the
   /// response (if any) with runs_executed / last run index.
   int execute_due_runs(Response* response);
   void execute_one_run(int batch_bids);
-  void write_checkpoint(const std::string& path) const;
   /// &registry().counter(obs_prefix + name), resolved once and cached in
   /// `slot`. Shard-local services register under their plan's "shard<k>/"
   /// prefix; standalone (K=1) services keep the un-prefixed names.
@@ -156,13 +150,12 @@ class AuctionService {
   SessionRegistry registry_;
   RunBatcher batcher_;
   std::vector<sim::RunRecord> records_;
-  int first_session_run_ = 1;  // current_run() at construction/restore
+  int first_session_run_ = 1;  // current_run() at construction/load
   double now_ = 0.0;           // service clock, seconds
   std::uint64_t requests_total_ = 0;
   std::uint64_t overload_rejects_ = 0;
   std::size_t last_queue_depth_ = 0;
   bool shutdown_requested_ = false;
-  bool finalized_ = false;
   // Lazily-resolved obs handles under config_.obs_prefix (stable for the
   // registry's lifetime; null until the first enabled use). Per-instance
   // instead of static locals so each shard records under its own names.

@@ -33,7 +33,7 @@ namespace melody::svc {
 
 /// Salt for per-shard master seeds at K>1: shard s of a K-shard deployment
 /// runs on util::derive_stream(seed, kShardSeedSalt, s). K=1 keeps the
-/// global seed untouched (bit-identity with the unsharded service).
+/// global seed untouched (bit-identity with a bare AuctionService).
 inline constexpr std::uint64_t kShardSeedSalt = 0x5348'4152'444D'4B59ull;
 
 /// One shard's slice of the deployment: its index, the first global worker

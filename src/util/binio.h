@@ -6,11 +6,15 @@
 // portable across platforms; every reader validates stream state and throws
 // std::runtime_error with the caller-supplied context on truncation, so a
 // corrupt checkpoint fails loudly instead of resuming from garbage.
+// write_file_atomic is the one way whole files are published: a reader
+// never sees a half-written or failed write under the final name.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -108,6 +112,25 @@ inline std::string read_bytes(std::istream& in, const char* what,
     throw std::runtime_error(std::string(what) + ": truncated input");
   }
   return bytes;
+}
+
+/// Publish a whole file atomically: `writer(out)` fills `<path>.tmp`, which
+/// is flushed, closed and checked BEFORE the rename into place — a write
+/// error surfacing only when the buffered tail reaches the disk (ENOSPC at
+/// close) throws std::runtime_error and leaves `path` untouched.
+template <typename Writer>
+void write_file_atomic(const std::string& path, Writer&& writer) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot open " + tmp);
+    writer(out);
+    out.close();
+    if (!out) throw std::runtime_error("write failure on " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("cannot rename " + tmp + " to " + path);
+  }
 }
 
 }  // namespace melody::util::binio

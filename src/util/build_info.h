@@ -10,7 +10,7 @@ namespace melody::util {
 /// The format versions this build reads and writes, gathered in one place.
 struct FormatVersions {
   int proto;                // svc wire protocol (svc/protocol.h)
-  int service_checkpoint;   // MLDYSVCK plain service body (svc/service.cc)
+  int service_checkpoint;   // MLDYSVCK shard body (svc/service.cc)
   int composed_checkpoint;  // MLDYSVCK composed router container (router.cc)
   int trace;                // MLDYTRC wire trace (svc/trace_log.cc)
   int migration;            // MLDYMIGR live-migration envelope (service.cc)

@@ -1,13 +1,15 @@
 // Sharded platform (svc/shard.h + svc/router.h): plan splitting and seed
 // salting, affinity routing, broadcast merge semantics, and the headline
-// contracts — a K=1 sharded deployment is byte-identical to the plain
-// single-platform service, every K>1 shard is bit-identical to the
-// standalone service built from its plan, and composed MLDYSVCK v2
-// checkpoints kill/resume mid-trace without perturbing a single record.
+// contracts — a K=1 sharded deployment is byte-identical to a bare
+// single-platform AuctionService applying the same lines, every K>1 shard
+// is bit-identical to the standalone service built from its plan, and
+// composed MLDYSVCK v2 checkpoints kill/resume mid-trace without perturbing
+// a single record (and report a failed write instead of publishing it).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -15,7 +17,6 @@
 
 #include "estimators/factory.h"
 #include "svc/config.h"
-#include "svc/loop.h"
 #include "svc/protocol.h"
 #include "svc/router.h"
 #include "svc/service.h"
@@ -63,6 +64,20 @@ void append_round(std::ostream& trace, int workers, std::int64_t* next_id) {
   for (int w = 0; w < workers; ++w) {
     trace << format_request(bid_for(w, (*next_id)++)) << "\n";
   }
+}
+
+/// The bare-shard reference: a standalone AuctionService driven by apply()
+/// line by line, one formatted response line per request line.
+std::string apply_lines(AuctionService& service, const std::string& input) {
+  std::istringstream lines(input);
+  std::string line;
+  std::string out;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    out += format_response(service.apply(parse_request(line)));
+    out += '\n';
+  }
+  return out;
 }
 
 std::vector<Response> parse_lines(const std::string& text) {
@@ -213,6 +228,8 @@ TEST(ShardRouting, QueryRunAddressesShardsExplicitly) {
 // ---------------------------------------------- K=1 bit-identity contract --
 
 TEST(ShardedStdio, SingleShardByteIdenticalToPlainServiceLoop) {
+  // The reference is a bare AuctionService applying the trace line by
+  // line; the K=1 router must answer every line with the same bytes.
   std::stringstream trace;
   std::int64_t next_id = 1;
   Request hello;
@@ -226,12 +243,10 @@ TEST(ShardedStdio, SingleShardByteIdenticalToPlainServiceLoop) {
   trace << format_request(stats) << "\n";
   const std::string input = trace.str();
 
-  std::ostringstream plain_out;
+  std::string plain_out;
   {
     AuctionService service(shard_config(1));
-    ServiceLoop loop(service, 64);
-    std::istringstream in(input);
-    run_stdio_session(loop, in, plain_out);
+    plain_out = apply_lines(service, input);
   }
   std::ostringstream sharded_out;
   ShardedService service(shard_config(1));
@@ -242,7 +257,7 @@ TEST(ShardedStdio, SingleShardByteIdenticalToPlainServiceLoop) {
   // Byte identity, not just record identity: every response line — hello
   // (shards advertised in the same position), bids, merged stats — matches
   // the unsharded service exactly.
-  EXPECT_EQ(sharded_out.str(), plain_out.str());
+  EXPECT_EQ(sharded_out.str(), plain_out);
   EXPECT_EQ(service.shard(0).service().records().size(), 6u);
 }
 
@@ -267,7 +282,6 @@ TEST(ShardedStdio, FourShardTrajectoriesMatchStandalonePlans) {
   for (int s = 0; s < 4; ++s) {
     const ShardPlan& plan = plans[static_cast<std::size_t>(s)];
     AuctionService standalone(plan.config);
-    ServiceLoop loop(standalone, 64);
     std::stringstream shard_trace;
     std::int64_t id = 1;
     for (int round = 0; round < 16; ++round) {
@@ -276,8 +290,7 @@ TEST(ShardedStdio, FourShardTrajectoriesMatchStandalonePlans) {
                     << "\n";
       }
     }
-    std::ostringstream shard_out;
-    run_stdio_session(loop, shard_trace, shard_out);
+    apply_lines(standalone, shard_trace.str());
     const auto& expected = standalone.records();
     const auto& actual = service.shard(s).service().records();
     ASSERT_EQ(actual.size(), expected.size()) << "shard " << s;
@@ -377,61 +390,47 @@ TEST(ShardedCheckpoint, ComposedKillResumeMidTraceStaysBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedCheckpoint, PlainV1FileRestoresIntoSingleShardOnly) {
-  const ServiceConfig config = shard_config(1);
-  const std::string path = ::testing::TempDir() + "/melody_shard_v1.ckpt";
+TEST(ShardedCheckpoint, FailedWriteIsReportedAndPublishesNothing) {
+  // A write error that only surfaces when the buffered tail is flushed at
+  // close: the whole checkpoint fits in the stream buffer, and "<path>.tmp"
+  // is a symlink to /dev/full (every write fails with ENOSPC). Both
+  // composed writers must report the failure and leave no file at <path>.
+  namespace fs = std::filesystem;
+  ServiceConfig config = shard_config(1);
+  config.scenario.num_workers = 4;
+  config.scenario.num_tasks = 3;
+  config.scenario.runs = 2;
+  config.scenario.budget = 10.0;
+  const std::string path = ::testing::TempDir() + "/melody_shard_full.ckpt";
+  fs::remove(path);
+  fs::remove(path + ".tmp");
+  fs::create_symlink("/dev/full", path + ".tmp");
 
-  // The unsharded service writes a v1 snapshot mid-trace.
-  std::vector<sim::RunRecord> prefix;
-  std::vector<sim::RunRecord> expected;
-  {
-    AuctionService reference(config);
-    ServiceLoop loop(reference, 64);
-    std::stringstream trace;
-    std::int64_t next_id = 1;
-    for (int round = 0; round < 16; ++round) append_round(trace, 42, &next_id);
-    std::ostringstream out;
-    run_stdio_session(loop, trace, out);
-    expected = reference.records();
-  }
-  {
-    AuctionService service(config);
-    ServiceLoop loop(service, 64);
-    std::stringstream trace;
-    std::int64_t next_id = 1;
-    for (int round = 0; round < 8; ++round) append_round(trace, 42, &next_id);
-    Request checkpoint;
-    checkpoint.op = Op::kCheckpoint;
-    checkpoint.id = next_id++;
-    checkpoint.path = path;
-    trace << format_request(checkpoint) << "\n";
-    std::ostringstream out;
-    run_stdio_session(loop, trace, out);
-    prefix = service.records();
-  }
-
-  // A 4-shard deployment cannot adopt one platform's snapshot.
-  {
-    ShardedService wrong(shard_config(4));
-    EXPECT_THROW(wrong.restore(path), std::runtime_error);
-  }
-
-  // The K=1 sharded deployment continues it bit-identically.
   ShardedService service(config);
-  service.restore(path);
+  std::ostringstream image;
+  service.save_state(image);
+  ASSERT_LT(image.str().size(), 4096u) << "must fit in the stream buffer";
+
   std::stringstream trace;
-  std::int64_t next_id = 100000;
-  for (int round = 8; round < 16; ++round) append_round(trace, 42, &next_id);
+  Request checkpoint;
+  checkpoint.op = Op::kCheckpoint;
+  checkpoint.id = 7;
+  checkpoint.path = path;
+  trace << format_request(checkpoint) << "\n";
   std::ostringstream out;
   run_stdio_session(service, trace, out);
-  std::vector<sim::RunRecord> all = prefix;
-  const auto& tail = service.shard(0).service().records();
-  all.insert(all.end(), tail.begin(), tail.end());
-  ASSERT_EQ(all.size(), expected.size());
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    EXPECT_EQ(all[k], expected[k]) << "run " << k + 1;
-  }
-  std::remove(path.c_str());
+  const std::vector<Response> responses = parse_lines(out.str());
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_EQ(responses[0].id, 7);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path)));
+
+  // The shutdown checkpoint takes the same publish path.
+  config.checkpoint_path = path;
+  ShardedService configured(config);
+  EXPECT_THROW(configured.finalize(), std::runtime_error);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path)));
+  fs::remove(path + ".tmp");
 }
 
 // ------------------------------------------------------- broadcast merge --

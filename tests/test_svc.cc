@@ -1,12 +1,13 @@
 // Service runtime (melody::svc): queue backpressure, batch triggers,
 // session registry persistence, wire/protocol codec round-trips, and the
-// headline contract — a stdin-mode service session driven by a request
-// trace produces bit-identical run outcomes to the equivalent melody_sim
-// batch run, including across a mid-trace checkpoint/kill/resume.
+// headline contract — a stdin-mode session of the K=1 router driven by a
+// request trace produces bit-identical run outcomes to the equivalent
+// melody_sim batch run, including across a mid-trace checkpoint/kill/resume.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "svc/loop.h"
 #include "svc/protocol.h"
 #include "svc/queue.h"
+#include "svc/router.h"
 #include "svc/service.h"
 #include "svc/session.h"
 #include "svc/wire.h"
@@ -151,7 +153,8 @@ TEST(RunBatcher, RestoreReproducesAccumulationState) {
   a.note_bid(2.0);
   a.note_budget(17.0);
   RunBatcher b(a.policy());
-  b.restore(a.pending_bids(), a.oldest_bid_time(), a.accrued_budget());
+  b.restore(a.pending_bids(), a.oldest_bid_time(), a.accrued_budget(),
+            a.pending_arrivals());
   for (const double t : {1.5, 4.4, 4.5, 9.0}) {
     EXPECT_EQ(a.should_fire(t), b.should_fire(t)) << "t=" << t;
     EXPECT_DOUBLE_EQ(a.seconds_until_deadline(t), b.seconds_until_deadline(t));
@@ -603,6 +606,22 @@ TEST(AuctionService, QueryRunBoundsAndStats) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.fields.number("runs_this_session"), 1.0);
   EXPECT_EQ(r.fields.number("next_run"), 2.0);
+
+  // Checkpoint files belong to the router: a bare service answers the op
+  // with the structured router-level failure and writes nothing.
+  const std::string path = ::testing::TempDir() + "/melody_bare_svc.ckpt";
+  std::filesystem::remove(path);
+  Request checkpoint;
+  checkpoint.op = Op::kCheckpoint;
+  checkpoint.id = 41;
+  checkpoint.path = path;
+  r = service.apply(checkpoint);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.id, 41);
+  EXPECT_EQ(r.error, "checkpoint: router-level op, not served by a bare shard");
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(path)));
+  EXPECT_FALSE(
+      std::filesystem::exists(std::filesystem::symlink_status(path + ".tmp")));
 }
 
 // ------------------------------------------- stdio e2e and bit-identity --
@@ -658,8 +677,7 @@ TEST(StdioSession, BitIdenticalToBatchRun) {
   const std::vector<sim::RunRecord> expected =
       batch_records(scenario, sim::FaultPlan{});
 
-  AuctionService service(e2e_config());
-  ServiceLoop loop(service, 64);
+  ShardedService service(e2e_config());
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
@@ -673,14 +691,15 @@ TEST(StdioSession, BitIdenticalToBatchRun) {
   trace << format_request(query) << "\n";
 
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const StdioResult result = run_stdio_session(service, trace, responses);
   EXPECT_EQ(result.parse_errors, 0u);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_FALSE(result.shutdown);
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  const auto& records = service.shard(0).service().records();
+  ASSERT_EQ(records.size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(records[k], expected[k]) << "run " << k + 1;
   }
   // The wire answer for the final run carries the exact record values.
   std::string line;
@@ -706,22 +725,22 @@ TEST(StdioSession, IncrementalServiceStaysBitIdenticalToBatch) {
 
   ServiceConfig config = e2e_config();
   config.incremental = true;
-  AuctionService service(config);
-  ASSERT_TRUE(service.platform().bid_book_enabled());
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
+  const AuctionService& shard = service.shard(0).service();
+  ASSERT_TRUE(shard.platform().bid_book_enabled());
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
     append_round(trace, scenario.num_workers, &next_id);
   }
   std::ostringstream responses;
-  run_stdio_session(loop, trace, responses);
+  run_stdio_session(service, trace, responses);
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  ASSERT_EQ(shard.records().size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(shard.records()[k], expected[k]) << "run " << k + 1;
   }
-  EXPECT_EQ(service.platform().bid_book().check_links(), "");
+  EXPECT_EQ(shard.platform().bid_book().check_links(), "");
 }
 
 TEST(StdioSession, BitIdenticalWithFaultPlanAttached) {
@@ -737,19 +756,19 @@ TEST(StdioSession, BitIdenticalWithFaultPlanAttached) {
 
   ServiceConfig config = e2e_config();
   config.faults = plan;
-  AuctionService service(config);
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
   std::stringstream trace;
   std::int64_t next_id = 1;
   for (int round = 0; round < scenario.runs; ++round) {
     append_round(trace, scenario.num_workers, &next_id);
   }
   std::ostringstream responses;
-  run_stdio_session(loop, trace, responses);
+  run_stdio_session(service, trace, responses);
 
-  ASSERT_EQ(service.records().size(), expected.size());
+  const auto& records = service.shard(0).service().records();
+  ASSERT_EQ(records.size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(service.records()[k], expected[k]) << "run " << k + 1;
+    EXPECT_EQ(records[k], expected[k]) << "run " << k + 1;
   }
 }
 
@@ -763,8 +782,7 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
 
   std::vector<sim::RunRecord> prefix;
   {
-    AuctionService service(e2e_config());
-    ServiceLoop loop(service, 64);
+    ShardedService service(e2e_config());
     std::stringstream trace;
     std::int64_t next_id = 1;
     for (int round = 0; round < interrupt_after; ++round) {
@@ -776,16 +794,16 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
     checkpoint.path = path;
     trace << format_request(checkpoint) << "\n";
     std::ostringstream responses;
-    const StdioResult result = run_stdio_session(loop, trace, responses);
+    const StdioResult result = run_stdio_session(service, trace, responses);
     EXPECT_EQ(result.parse_errors, 0u);
-    prefix = service.records();
+    prefix = service.shard(0).service().records();
     ASSERT_EQ(static_cast<int>(prefix.size()), interrupt_after);
   }  // the "killed" service is gone; only the checkpoint file survives
 
-  AuctionService service(e2e_config());
+  ShardedService service(e2e_config());
   service.restore(path);
-  EXPECT_EQ(service.platform().current_run(), interrupt_after + 1);
-  ServiceLoop loop(service, 64);
+  const AuctionService& shard = service.shard(0).service();
+  EXPECT_EQ(shard.platform().current_run(), interrupt_after + 1);
   std::stringstream trace;
   std::int64_t next_id = 100000;
   for (int round = interrupt_after; round < scenario.runs; ++round) {
@@ -803,11 +821,11 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
   trace << format_request(shutdown) << "\n";
 
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const StdioResult result = run_stdio_session(service, trace, responses);
   EXPECT_TRUE(result.shutdown);
 
   std::vector<sim::RunRecord> all = prefix;
-  all.insert(all.end(), service.records().begin(), service.records().end());
+  all.insert(all.end(), shard.records().begin(), shard.records().end());
   ASSERT_EQ(all.size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
     EXPECT_EQ(all[k], expected[k]) << "run " << k + 1;
@@ -828,13 +846,12 @@ TEST(StdioSession, CheckpointKillResumeStaysBitIdentical) {
 }
 
 TEST(StdioSession, ParseErrorsAnswerWithoutKillingTheSession) {
-  AuctionService service(tiny_config());
-  ServiceLoop loop(service, 8);
+  ShardedService service(tiny_config());
   std::stringstream trace;
   trace << "this is not a request\n";
   trace << format_request(bid_for(0, 2)) << "\n";
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const StdioResult result = run_stdio_session(service, trace, responses);
   EXPECT_EQ(result.parse_errors, 1u);
   EXPECT_EQ(result.requests, 1u);
 
@@ -850,17 +867,16 @@ TEST(StdioSession, ParseErrorsAnswerWithoutKillingTheSession) {
 TEST(StdioSession, ExitAfterRunsRequestsShutdown) {
   ServiceConfig config = tiny_config();
   config.exit_after_runs = 1;
-  AuctionService service(config);
-  ServiceLoop loop(service, 64);
+  ShardedService service(config);
   std::stringstream trace;
   std::int64_t next_id = 1;
   // Two full rounds queued, but the session must stop after round one.
   append_round(trace, config.scenario.num_workers, &next_id);
   append_round(trace, config.scenario.num_workers, &next_id);
   std::ostringstream responses;
-  const StdioResult result = run_stdio_session(loop, trace, responses);
+  const StdioResult result = run_stdio_session(service, trace, responses);
   EXPECT_TRUE(result.shutdown);
-  EXPECT_EQ(service.records().size(), 1u);
+  EXPECT_EQ(service.shard(0).service().records().size(), 1u);
 }
 
 }  // namespace

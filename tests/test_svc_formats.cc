@@ -2,11 +2,15 @@
 // fuzz-style negative sweep over svc::config_from_trace (mistyped or
 // hostile header fields must throw, never misconfigure), malformed
 // MLDYSVCK / MLDYMIGR inputs (bad magic, alien version, truncation at
-// every prefix), the structured missing-resume-checkpoint error, and the
-// build-info pinning of every format version a binary speaks.
+// every prefix), the composed-container matrix the router's restore must
+// reject (including a bare shard body at top level), the structured
+// missing-resume-checkpoint error, and the build-info pinning of every
+// format version a binary speaks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -176,12 +180,15 @@ TEST(CheckpointFormat, RejectsBadMagicVersionAndTruncation) {
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_state(in), std::runtime_error);
   }
-  {
+  // Only v3 bodies load: an alien version, the composed container's 2, and
+  // the retired v1 layout are all rejected.
+  for (const char version : {char{99}, char{2}, char{1}}) {
     std::string corrupt = bytes;
-    corrupt[8] = 99;  // version u32 little-endian low byte
+    corrupt[8] = version;  // version u32 little-endian low byte
     std::istringstream in(corrupt);
     AuctionService victim(small_config());
-    EXPECT_THROW(victim.load_state(in), std::runtime_error);
+    EXPECT_THROW(victim.load_state(in), std::runtime_error)
+        << "version " << int{version};
   }
   // Truncation at a sweep of prefixes must throw, never half-load.
   for (const std::size_t keep :
@@ -190,6 +197,100 @@ TEST(CheckpointFormat, RejectsBadMagicVersionAndTruncation) {
     std::istringstream in(bytes.substr(0, keep));
     AuctionService victim(small_config());
     EXPECT_THROW(victim.load_state(in), std::runtime_error)
+        << "prefix " << keep << " of " << bytes.size();
+  }
+}
+
+// ------------------------------------------- composed MLDYSVCK v2 --
+
+ServiceConfig sharded_config(int shards) {
+  ServiceConfig config = small_config();
+  config.shards = shards;
+  return config;
+}
+
+/// The composed checkpoint of a K-shard deployment after one full round
+/// (every shard has executed one run).
+std::string composed_bytes(int shards) {
+  ShardedService service(sharded_config(shards));
+  std::stringstream trace;
+  for (int w = 0; w < 10; ++w) {
+    Request r;
+    r.op = Op::kSubmitBid;
+    r.id = w + 1;
+    r.worker = "w" + std::to_string(w);
+    trace << format_request(r) << "\n";
+  }
+  std::ostringstream responses;
+  run_stdio_session(service, trace, responses);
+  std::ostringstream out;
+  service.save_state(out);
+  return out.str();
+}
+
+/// Restore `bytes` through a file into a fresh K-shard deployment.
+void restore_bytes(int shards, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/melody_composed_neg.ckpt";
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << bytes;
+  }
+  ShardedService service(sharded_config(shards));
+  try {
+    service.restore(path);
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ComposedCheckpointFormat, RejectsBadMagicAlienVersionAndShardMismatch) {
+  // Control: the intact files restore at their own K.
+  const std::string bytes = composed_bytes(4);
+  ASSERT_GT(bytes.size(), 16u);
+  EXPECT_NO_THROW(restore_bytes(4, bytes));
+  EXPECT_NO_THROW(restore_bytes(1, composed_bytes(1)));
+  {
+    std::string corrupt = bytes;
+    corrupt[0] = 'X';  // magic
+    EXPECT_THROW(restore_bytes(4, corrupt), std::runtime_error);
+  }
+  for (const char version : {char{99}, char{1}, char{3}}) {
+    std::string corrupt = bytes;
+    corrupt[8] = version;  // version u32 little-endian low byte
+    EXPECT_THROW(restore_bytes(4, corrupt), std::runtime_error)
+        << "version " << int{version};
+  }
+  // A composed file only restores into a deployment of its own K.
+  EXPECT_THROW(restore_bytes(2, bytes), std::runtime_error);
+  EXPECT_THROW(restore_bytes(1, bytes), std::runtime_error);
+  EXPECT_THROW(restore_bytes(4, composed_bytes(1)), std::runtime_error);
+}
+
+TEST(ComposedCheckpointFormat, RejectsABareShardBodyAtTopLevel) {
+  // A v3 shard body shares the MLDYSVCK magic but is not a deployment
+  // file: the router rejects it at every K, K=1 included.
+  auto service = warm_service();
+  std::ostringstream out;
+  service->save_state(out);
+  for (const int k : {1, 4}) {
+    EXPECT_THROW(restore_bytes(k, out.str()), std::runtime_error) << "K=" << k;
+  }
+}
+
+TEST(ComposedCheckpointFormat, RejectsEveryTruncatedPrefix) {
+  // Every prefix through the header and the first length field, then a
+  // stride through the shard bodies, then the last byte.
+  const std::string bytes = composed_bytes(4);
+  std::vector<std::size_t> prefixes;
+  for (std::size_t keep = 0; keep < 32; ++keep) prefixes.push_back(keep);
+  for (std::size_t part = 1; part < 16; ++part) {
+    prefixes.push_back(bytes.size() * part / 16);
+  }
+  prefixes.push_back(bytes.size() - 1);
+  for (const std::size_t keep : prefixes) {
+    EXPECT_THROW(restore_bytes(4, bytes.substr(0, keep)), std::runtime_error)
         << "prefix " << keep << " of " << bytes.size();
   }
 }
