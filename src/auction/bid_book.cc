@@ -3,33 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "auction/mechanism.h"
 
 namespace melody::auction {
 
 namespace {
-
-constexpr std::uint32_t kBookMagic = 0x4D4C4442u;  // "MLDB"
-constexpr std::uint32_t kBookVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("bid book blob truncated");
-  return value;
-}
 
 std::uint64_t bits_of(double d) noexcept {
   return std::bit_cast<std::uint64_t>(d);
@@ -459,50 +441,6 @@ std::uint64_t BidBook::content_digest() const {
         static_cast<std::uint32_t>(view.frequency[p])));
   }
   return h;
-}
-
-void BidBook::save(std::ostream& out) const {
-  write_pod(out, kBookMagic);
-  write_pod(out, kBookVersion);
-  write_pod(out, static_cast<std::uint64_t>(size()));
-  const LadderView view = materialized();
-  for (std::size_t p = 0; p < view.size(); ++p) {
-    write_pod(out, view.ids[p]);
-    write_pod(out, view.quality[p]);
-    write_pod(out, view.cost[p]);
-    write_pod(out, view.frequency[p]);
-  }
-}
-
-void BidBook::load(std::istream& in) {
-  if (read_pod<std::uint32_t>(in) != kBookMagic) {
-    throw std::runtime_error("bid book blob: bad magic");
-  }
-  if (read_pod<std::uint32_t>(in) != kBookVersion) {
-    throw std::runtime_error("bid book blob: unsupported version");
-  }
-  const auto count = read_pod<std::uint64_t>(in);
-  clear();
-  const KeyLess less;
-  bool have_last = false;
-  Key last_key{};
-  for (std::uint64_t k = 0; k < count; ++k) {
-    WorkerProfile p;
-    p.id = read_pod<WorkerId>(in);
-    p.estimated_quality = read_pod<double>(in);
-    p.bid.cost = read_pod<double>(in);
-    p.bid.frequency = read_pod<int>(in);
-    const Key key{ladder_ratio(p.estimated_quality, p.bid.cost), p.id};
-    if (have_last && !less(last_key, key)) {
-      throw std::runtime_error("bid book blob: ladder out of order");
-    }
-    if (index_.contains(p.id)) {
-      throw std::runtime_error("bid book blob: duplicate worker id");
-    }
-    last_key = key;
-    have_last = true;
-    upsert(p);
-  }
 }
 
 std::span<const WorkerProfile> resolve_workers(

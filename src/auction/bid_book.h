@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -158,12 +157,6 @@ class BidBook {
 
   /// FNV-1a digest of the ladder content in ladder order.
   std::uint64_t content_digest() const;
-
-  // --- Serialization (embedded in the MLDYCKPT / MLDYSVCK checkpoints).
-  void save(std::ostream& out) const;
-  /// Replaces the book; throws std::runtime_error on a malformed blob
-  /// (bad magic, unsorted ladder, duplicate ids, truncation).
-  void load(std::istream& in);
 
  private:
   struct Key {

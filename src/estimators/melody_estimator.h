@@ -213,17 +213,4 @@ class MelodyEstimator final : public QualityEstimator {
   std::vector<std::uint32_t> run_slots_;
 };
 
-/// Deprecated MELODY-only persistence entry points, kept as thin wrappers
-/// for one release. Persistence is now part of the QualityEstimator
-/// interface itself: call estimator.save(out) / estimator.load(in) through
-/// the base class instead — no concrete tracker type needed.
-[[deprecated("use QualityEstimator::save")]] inline void save_tracker(
-    const MelodyEstimator& tracker, std::ostream& out) {
-  tracker.save(out);
-}
-[[deprecated("use QualityEstimator::load")]] inline void load_tracker(
-    MelodyEstimator& tracker, std::istream& in) {
-  tracker.load(in);
-}
-
 }  // namespace melody::estimators

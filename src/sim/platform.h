@@ -51,9 +51,10 @@ class Platform {
   /// collected bids against the book, applies the deltas (O(log N) per
   /// changed bid), and hands the mechanism a context carrying the book so
   /// incremental mechanisms rank from the ladder instead of re-sorting.
-  /// Allocation stays bit-identical to the rebuild path; snapshots of a
-  /// book-enabled platform use format v2 (v1 stays byte-identical for
-  /// platforms that never opt in). Irreversible for this platform.
+  /// Allocation stays bit-identical to the rebuild path. The book is a
+  /// cache, not state: snapshots are byte-identical with or without it,
+  /// and load() empties it for the next step()'s diff to refill.
+  /// Irreversible for this platform.
   void enable_bid_book() noexcept { bid_book_enabled_ = true; }
   bool bid_book_enabled() const noexcept { return bid_book_enabled_; }
   const auction::BidBook& bid_book() const noexcept { return bid_book_; }
@@ -65,7 +66,7 @@ class Platform {
   /// Withdraw (or reinstate) a worker: while withdrawn he submits no bids —
   /// skipped in bid collection like an absent worker, and dropped from the
   /// bid book by the next diff. Part of the deterministic platform state
-  /// (snapshotted in v2). Returns false for an unknown id.
+  /// (every snapshot carries it). Returns false for an unknown id.
   bool set_withdrawn(auction::WorkerId id, bool withdrawn);
   bool is_withdrawn(auction::WorkerId id) const {
     return withdrawn_.contains(id);
@@ -139,14 +140,14 @@ class Platform {
   /// Persist the complete platform state as a versioned binary snapshot
   /// (magic "MLDYCKPT" + format version): run index, workers (including
   /// their latent trajectories), bid policies, cumulative utilities, the
-  /// sequential RNG position, the fault plan, and the estimator state via
-  /// QualityEstimator::save. Resuming from a snapshot is bit-identical to
-  /// never having stopped, at any thread count. The scenario and the
-  /// mechanism are NOT saved: construct the new platform with the same
-  /// scenario and a stateless mechanism (MelodyAuction is; RandomAuction's
-  /// internal RNG position is not restored) plus a same-config estimator
-  /// before load(). The last_result() of the interrupted step is not part
-  /// of a snapshot — it is re-established by the next step().
+  /// sequential RNG position, the fault plan, the estimator state via
+  /// QualityEstimator::save, and the withdrawn set. Resuming from a
+  /// snapshot is bit-identical to never having stopped, at any thread
+  /// count. The scenario and the mechanism are NOT saved: construct the
+  /// new platform with the same scenario and a stateless mechanism
+  /// (MelodyAuction is; RandomAuction's internal RNG position is not
+  /// restored) plus a same-config estimator before load(). The last_result() of the interrupted step and the bid
+  /// book are not part of a snapshot — the next step() re-establishes both.
   /// Both throw std::runtime_error on I/O failure or malformed input.
   void save(std::ostream& out) const;
   void load(std::istream& in);

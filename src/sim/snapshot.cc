@@ -1,7 +1,7 @@
 // Versioned binary snapshots of the Platform (checkpoint/resume support).
 //
 // Layout (all integers little-endian, see util/binio.h):
-//   magic "MLDYCKPT" (8 bytes) | u32 version
+//   magic "MLDYCKPT" (8 bytes) | u32 version (3)
 //   u64 master_seed | i32 run
 //   sequential RNG: 4 x u64 words | f64 cached_normal | u8 cached_valid
 //   fault plan: f64 no_show | f64 drop | f64 corrupt | f64 churn
@@ -16,18 +16,14 @@
 //             | u8 cheat_freq | f64 cost_mag | i32 freq_mag
 //   utilities: u64 count, sorted by id: i32 id | f64 total
 //   estimator: length-prefixed blob produced by QualityEstimator::save
-//   [v2 only — written iff the bid book is enabled:]
 //   withdrawn: u64 count, sorted by id: i32 id
-//   bid book: BidBook::save blob (own magic + ladder-ordered entries)
 //
-// Version policy: bump kVersion on any layout change; load() rejects
-// versions it does not understand rather than guessing. A platform that
-// never opts into the bid book keeps writing byte-identical v1 snapshots
-// (the golden-digest lattice pins those bytes); enable_bid_book() switches
-// its snapshots to v2. load() accepts both: a v1 blob restores a
-// book-enabled platform with an empty book, which the next step()'s diff
-// repopulates — allocation is unaffected because the ladder is a canonical
-// function of the live bids.
+// One layout, whether or not the platform keeps a bid book: the book is a
+// cache of the live bids, not state. load() leaves it empty and the next
+// step()'s diff refills it; allocation is unaffected because the ladder is
+// a canonical function of the live bids. Version policy: bump kVersion on
+// any layout change; load() rejects every other version rather than
+// guessing.
 #include <algorithm>
 #include <fstream>
 #include <sstream>
@@ -40,8 +36,7 @@ namespace melody::sim {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'L', 'D', 'Y', 'C', 'K', 'P', 'T'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kVersionBidBook = 2;
+constexpr std::uint32_t kVersion = 3;
 
 namespace binio = util::binio;
 
@@ -49,7 +44,7 @@ namespace binio = util::binio;
 
 void Platform::save(std::ostream& out) const {
   out.write(kMagic, sizeof kMagic);
-  binio::write_u32(out, bid_book_enabled_ ? kVersionBidBook : kVersion);
+  binio::write_u32(out, kVersion);
   binio::write_u64(out, master_seed_);
   binio::write_i32(out, run_);
 
@@ -107,14 +102,11 @@ void Platform::save(std::ostream& out) const {
   estimator_.save(blob);
   binio::write_bytes(out, blob.str());
 
-  if (bid_book_enabled_) {
-    std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
-                                             withdrawn_.end());
-    std::sort(withdrawn.begin(), withdrawn.end());
-    binio::write_u64(out, withdrawn.size());
-    for (const auction::WorkerId id : withdrawn) binio::write_i32(out, id);
-    bid_book_.save(out);
-  }
+  std::vector<auction::WorkerId> withdrawn(withdrawn_.begin(),
+                                           withdrawn_.end());
+  std::sort(withdrawn.begin(), withdrawn.end());
+  binio::write_u64(out, withdrawn.size());
+  for (const auction::WorkerId id : withdrawn) binio::write_i32(out, id);
 
   if (!out) throw std::runtime_error("platform snapshot: write failure");
 }
@@ -126,7 +118,7 @@ void Platform::load(std::istream& in) {
     throw std::runtime_error("platform snapshot: bad magic");
   }
   const std::uint32_t version = binio::read_u32(in, "snapshot version");
-  if (version != kVersion && version != kVersionBidBook) {
+  if (version != kVersion) {
     throw std::runtime_error("platform snapshot: unsupported version " +
                              std::to_string(version));
   }
@@ -199,18 +191,13 @@ void Platform::load(std::istream& in) {
 
   const std::string blob = binio::read_bytes(in, "estimator blob");
 
+  const std::uint64_t withdrawn_count = binio::read_u64(in, "withdrawn count");
+  if (withdrawn_count > worker_count) {
+    throw std::runtime_error("platform snapshot: implausible withdrawals");
+  }
   std::unordered_set<auction::WorkerId> withdrawn;
-  auction::BidBook book;
-  if (version >= kVersionBidBook) {
-    const std::uint64_t withdrawn_count =
-        binio::read_u64(in, "withdrawn count");
-    if (withdrawn_count > worker_count) {
-      throw std::runtime_error("platform snapshot: implausible withdrawals");
-    }
-    for (std::uint64_t k = 0; k < withdrawn_count; ++k) {
-      withdrawn.insert(binio::read_i32(in, "withdrawn id"));
-    }
-    book.load(in);
+  for (std::uint64_t k = 0; k < withdrawn_count; ++k) {
+    withdrawn.insert(binio::read_i32(in, "withdrawn id"));
   }
 
   // Everything parsed: commit wholesale. The estimator's own load replaces
@@ -227,12 +214,10 @@ void Platform::load(std::istream& in) {
   policies_ = std::move(policies);
   total_utility_ = std::move(utilities);
   last_result_ = auction::AllocationResult{};
-  // v2 snapshots only come from book-enabled platforms; a v1 blob loaded
-  // into an enabled platform starts with an empty book, repopulated by the
-  // next step()'s diff (the ladder is canonical, so outcomes are unchanged).
   withdrawn_ = std::move(withdrawn);
-  bid_book_ = std::move(book);
-  if (version >= kVersionBidBook) bid_book_enabled_ = true;
+  // The book is not in the snapshot; an enabled platform refills it from
+  // the next step()'s diff. bid_book_enabled_ stays as the caller set it.
+  bid_book_.clear();
 }
 
 void save_checkpoint(const Platform& platform, const std::string& path) {

@@ -1,16 +1,14 @@
 // Property tests of the persistent price-ladder bid book and the
 // incremental ranking path it feeds: ladder link invariants under
 // randomized churn (including on 1/2/8 concurrent threads), diff/apply
-// convergence, serialization round-trips, and the bit-identity contract —
-// a queue ranked from the ladder walk equals a full rebuild-and-sort,
-// entry for entry, bit for bit.
+// convergence, and the bit-identity contract — a queue ranked from the
+// ladder walk equals a full rebuild-and-sort, entry for entry, bit for bit.
 #include "auction/bid_book.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <map>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -222,46 +220,6 @@ TEST(BidBook, DiffApplyConvergesAndIsIdempotent) {
   EXPECT_EQ(book.content_digest(), digest);
   book.diff(target, deltas);
   EXPECT_TRUE(deltas.empty());
-}
-
-TEST(BidBook, SaveLoadRoundTripsContent) {
-  util::Rng rng(0x5A7E);
-  BidBook book;
-  for (int i = 0; i < 50; ++i) {
-    book.upsert(profile(i, rng.uniform(1.0, 2.0),
-                        static_cast<int>(rng.uniform_int(1, 5)),
-                        rng.uniform(2.0, 4.0)));
-  }
-  book.erase(7);
-  book.erase(21);
-  std::ostringstream out;
-  book.save(out);
-  BidBook restored;
-  std::istringstream in(out.str());
-  restored.load(in);
-  EXPECT_EQ(restored.check_links(), "");
-  EXPECT_EQ(restored.size(), book.size());
-  EXPECT_EQ(restored.content_digest(), book.content_digest());
-  EXPECT_EQ(ladder_ids(restored), ladder_ids(book));
-}
-
-TEST(BidBook, LoadRejectsMalformedBlobs) {
-  BidBook book;
-  book.upsert(profile(0, 1.0, 1, 4.0));
-  book.upsert(profile(1, 1.5, 2, 3.0));
-  std::ostringstream out;
-  book.save(out);
-  const std::string blob = out.str();
-  {
-    std::istringstream bad_magic("XXXXXXXXXXXXXXXX");
-    BidBook b;
-    EXPECT_THROW(b.load(bad_magic), std::runtime_error);
-  }
-  {
-    std::istringstream truncated(blob.substr(0, blob.size() - 4));
-    BidBook b;
-    EXPECT_THROW(b.load(truncated), std::runtime_error);
-  }
 }
 
 // --- Bit-identity of the incremental ranking path -------------------------

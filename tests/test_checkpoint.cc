@@ -209,12 +209,33 @@ TEST(Checkpoint, BadMagicRejected) {
 }
 
 TEST(Checkpoint, UnsupportedVersionRejected) {
-  std::ostringstream out;
-  out.write("MLDYCKPT", 8);
-  util::binio::write_u32(out, 999);
-  std::istringstream in(out.str());
-  Rig rig(small_scenario(), {});
-  EXPECT_THROW(rig.platform.load(in), std::runtime_error);
+  // Only the current layout (v3) loads. The retired v1 (no withdrawn set)
+  // and v2 (bid book section) layouts are rejected like any alien version:
+  // the intact body of a v3 snapshot under an old version number must fail
+  // at the version check, not parse as something else.
+  const auto scenario = small_scenario();
+  Rig source(scenario, population(scenario));
+  source.platform.step();
+  std::ostringstream snap;
+  source.platform.save(snap);
+  const std::string bytes = snap.str();
+  for (const std::uint32_t version : {1u, 2u, 99u, 999u}) {
+    std::ostringstream out;
+    out.write(bytes.data(), 8);
+    util::binio::write_u32(out, version);
+    out.write(bytes.data() + 12,
+              static_cast<std::streamsize>(bytes.size() - 12));
+    std::istringstream in(out.str());
+    Rig rig(scenario, {});
+    try {
+      rig.platform.load(in);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << "version " << version << ": " << e.what();
+    }
+  }
 }
 
 TEST(Checkpoint, TruncatedSnapshotRejected) {

@@ -27,6 +27,8 @@
 #include "svc/shard.h"
 #include "util/thread_pool.h"
 
+#include "scratch_path.h"
+
 namespace melody::cluster {
 namespace {
 
@@ -485,7 +487,8 @@ TEST_P(MigrationBitIdentity, EightShardsTwoLiveMigrations) {
     }
   }
 
-  const std::string dir = "cluster_bitident_tmp";
+  // One publish dir per parameter instance: ctest -j runs them at once.
+  const std::string dir = testing_support::scratch_path("publish");
   std::filesystem::create_directories(dir);
   InProcessCluster cluster(cluster_config(kShards, kWorkers));
   cluster.add_member("a", {0, 1, 2, 3});
@@ -531,6 +534,7 @@ TEST_P(MigrationBitIdentity, EightShardsTwoLiveMigrations) {
   EXPECT_EQ(coordinator.table().owner,
             (std::vector<int>{0, 0, 0, 1, 1, 0, 1, 1}));
   EXPECT_EQ(coordinator.table().epoch, 3);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, MigrationBitIdentity,

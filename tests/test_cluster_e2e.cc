@@ -143,7 +143,11 @@ TEST(ClusterE2E, LiveMigrationAndPublishOverTcp) {
   ASSERT_TRUE(table.boolean_or("ok", false));
   const std::vector<double>& owner = table.number_list("owner");
   ASSERT_EQ(owner.size(), 8u);
-  EXPECT_EQ(static_cast<int>(owner[2]), 1) << "shard 2 must now live on m1";
+  // Member indices follow join order, which the two spawned members race
+  // for: resolve the owner's index to its name instead of assuming m1 == 1.
+  const std::string owner_name = table.text_or(
+      "member" + std::to_string(static_cast<int>(owner[2])) + "_name", "");
+  EXPECT_EQ(owner_name, "m1") << "shard 2 must now live on m1";
 
   EXPECT_TRUE(
       control(client, "127.0.0.1", port, cmd("shutdown")).boolean_or("ok",

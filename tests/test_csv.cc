@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "scratch_path.h"
+
 namespace melody::util {
 namespace {
 
@@ -19,7 +21,7 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "melody_csv_test.csv";
+  std::string path_ = testing_support::scratch_path("melody_csv_test.csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -3,8 +3,10 @@
 // plain rebuild-every-run platform bit for bit over a 200-run Fig-9
 // trajectory — at 1/2/8 threads, with and without an active fault plan,
 // and across a mid-sequence checkpoint/kill/resume of the incremental
-// platform (the book and the withdrawn set travel in the MLDYCKPT v2
-// sections).
+// platform. The MLDYCKPT snapshot carries the withdrawn set but not the
+// book: the book is a cache that the first post-resume step refills, so
+// snapshots are byte-identical with the book on or off and either mode
+// resumes the other's file.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -137,12 +139,14 @@ INSTANTIATE_TEST_SUITE_P(Threads, IncrementalMatrix,
                          ::testing::Values(1, 2, 8));
 
 TEST(IncrementalAuction, BookSurvivesCheckpointWithDigestIntact) {
+  // The book is not in the snapshot: a restored platform starts with an
+  // empty book, and one step later its ladder equals the uninterrupted
+  // platform's, content and links.
   auto scenario = fig9_scenario();
   scenario.runs = 20;
   Rig rig(scenario, population(scenario));
   rig.platform.enable_bid_book();
   for (int r = 0; r < 10; ++r) rig.platform.step();
-  const std::uint64_t digest = rig.platform.bid_book().content_digest();
   ASSERT_NE(rig.platform.bid_book().size(), 0u);
 
   std::ostringstream snap;
@@ -151,30 +155,35 @@ TEST(IncrementalAuction, BookSurvivesCheckpointWithDigestIntact) {
   restored.platform.enable_bid_book();
   std::istringstream in(snap.str());
   restored.platform.load(in);
-  EXPECT_EQ(restored.platform.bid_book().content_digest(), digest);
+  EXPECT_TRUE(restored.platform.bid_book().empty());
+
+  EXPECT_EQ(restored.platform.step(), rig.platform.step());
+  EXPECT_EQ(restored.platform.bid_book().content_digest(),
+            rig.platform.bid_book().content_digest());
+  EXPECT_EQ(restored.platform.bid_book().check_links(), "");
 }
 
 TEST(IncrementalAuction, V1SnapshotLoadsIntoEnabledPlatform) {
-  // A checkpoint written by a plain platform (MLDYCKPT v1, no book
-  // section) must restore into a book-enabled platform and continue
-  // bit-identically: the ladder starts empty and the first diff
-  // repopulates it before the next auction.
+  // (Named for the retired v1 layout plain platforms used to write.) A
+  // checkpoint written by a plain platform must restore into a
+  // book-enabled platform and continue bit-identically: the ladder starts
+  // empty and the first diff repopulates it before the next auction.
   auto scenario = fig9_scenario();
   scenario.runs = 30;
   const auto straight = run_plain(scenario, FaultPlan{});
 
-  std::string v1_checkpoint;
+  std::string plain_checkpoint;
   std::vector<RunRecord> records;
   {
     Rig rig(scenario, population(scenario));
     for (int r = 0; r < 12; ++r) records.push_back(rig.platform.step());
     std::ostringstream snap;
     rig.platform.save(snap);
-    v1_checkpoint = snap.str();
+    plain_checkpoint = snap.str();
   }
   Rig rig(scenario, {});
   rig.platform.enable_bid_book();
-  std::istringstream snap(v1_checkpoint);
+  std::istringstream snap(plain_checkpoint);
   rig.platform.load(snap);
   EXPECT_TRUE(rig.platform.bid_book().empty());
   auto rest = rig.platform.run_all();
@@ -183,27 +192,53 @@ TEST(IncrementalAuction, V1SnapshotLoadsIntoEnabledPlatform) {
   EXPECT_FALSE(rig.platform.bid_book().empty());
 }
 
+TEST(IncrementalAuction, EnabledSnapshotLoadsIntoPlainPlatform) {
+  // The other direction: a book-enabled platform's checkpoint restores
+  // into a plain platform, which keeps ranking by rebuild (load() never
+  // switches the book on) and continues bit-identically.
+  auto scenario = fig9_scenario();
+  scenario.runs = 30;
+  const auto straight = run_plain(scenario, FaultPlan{});
+
+  std::string enabled_checkpoint;
+  std::vector<RunRecord> records;
+  {
+    Rig rig(scenario, population(scenario));
+    rig.platform.enable_bid_book();
+    for (int r = 0; r < 12; ++r) records.push_back(rig.platform.step());
+    std::ostringstream snap;
+    rig.platform.save(snap);
+    enabled_checkpoint = snap.str();
+  }
+  Rig rig(scenario, {});
+  std::istringstream snap(enabled_checkpoint);
+  rig.platform.load(snap);
+  EXPECT_FALSE(rig.platform.bid_book_enabled());
+  auto rest = rig.platform.run_all();
+  records.insert(records.end(), rest.begin(), rest.end());
+  expect_records_identical(straight, records);
+  EXPECT_TRUE(rig.platform.bid_book().empty());
+}
+
 TEST(IncrementalAuction, PlainSnapshotBytesUnchangedByTheFeature) {
-  // A platform that never enables the book writes byte-identical v1
-  // snapshots — the golden-digest lattice in test_soa_equivalence depends
-  // on this, and it is what keeps old tooling readable.
+  // One layout: a book-enabled and a plain platform at the same run write
+  // byte-identical snapshots, withdrawals included — the book is a cache,
+  // not state.
   auto scenario = fig9_scenario();
   scenario.runs = 10;
   Rig plain(scenario, population(scenario));
   Rig enabled(scenario, population(scenario));
   enabled.platform.enable_bid_book();
-  for (int r = 0; r < 5; ++r) {
-    plain.platform.step();
-    enabled.platform.step();
+  for (Rig* rig : {&plain, &enabled}) {
+    for (int r = 0; r < 5; ++r) rig->platform.step();
+    const auction::WorkerId victim = rig->platform.workers().back().id();
+    ASSERT_TRUE(rig->platform.set_withdrawn(victim, true));
   }
+  ASSERT_FALSE(enabled.platform.bid_book().empty());
   std::ostringstream plain_snap, enabled_snap;
   plain.platform.save(plain_snap);
   enabled.platform.save(enabled_snap);
-  // Same prefix stream, different container version: the enabled platform
-  // writes strictly more bytes (withdrawn set + book blob), the plain one
-  // stays v1.
-  EXPECT_NE(plain_snap.str(), enabled_snap.str());
-  EXPECT_GT(enabled_snap.str().size(), plain_snap.str().size());
+  EXPECT_EQ(plain_snap.str(), enabled_snap.str());
 }
 
 TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
@@ -212,10 +247,12 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
 
   // Withdraw one worker on both of two identical platforms; outcomes must
   // agree (determinism of the withdrawn set), and a withdrawn worker's
-  // flag must survive a checkpoint round trip.
+  // flag must survive a checkpoint round trip — with the book on and off
+  // (the withdrawn set is platform state, not part of the book).
+  bool book = false;
   const auto run_with_withdrawal = [&](bool through_snapshot) {
     Rig rig(scenario, population(scenario));
-    rig.platform.enable_bid_book();
+    if (book) rig.platform.enable_bid_book();
     const auction::WorkerId victim = rig.platform.workers().front().id();
     for (int r = 0; r < 5; ++r) rig.platform.step();
     EXPECT_TRUE(rig.platform.set_withdrawn(victim, true));
@@ -225,7 +262,7 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
       std::ostringstream snap;
       rig.platform.save(snap);
       Rig restored(scenario, {});
-      restored.platform.enable_bid_book();
+      if (book) restored.platform.enable_bid_book();
       std::istringstream in(snap.str());
       restored.platform.load(in);
       EXPECT_TRUE(restored.platform.is_withdrawn(victim));
@@ -233,8 +270,12 @@ TEST(IncrementalAuction, WithdrawnWorkersSitOutAndSurviveResume) {
     }
     return rig.platform.run_all();
   };
-  expect_records_identical(run_with_withdrawal(false),
-                           run_with_withdrawal(true));
+  for (const bool mode : {true, false}) {
+    SCOPED_TRACE(mode ? "book on" : "book off");
+    book = mode;
+    expect_records_identical(run_with_withdrawal(false),
+                             run_with_withdrawal(true));
+  }
 }
 
 TEST(IncrementalAuction, UpdateBidTakesEffectDeterministically) {

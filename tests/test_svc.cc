@@ -530,6 +530,36 @@ TEST(AuctionService, WithdrawBidSitsOutUntilResubmission) {
   // A withdrawal is not a bid: it must not arm the batch trigger.
   EXPECT_EQ(service.batcher().pending_bids(), 0);
 
+  // The withdrawal is platform state, so it travels in the default
+  // (book-off) deployment too: a migration twin and a checkpoint twin both
+  // carry it, and their next auction matches the original's.
+  std::ostringstream envelope, checkpoint;
+  service.save_migration(envelope);
+  service.save_state(checkpoint);
+  AuctionService migrated(tiny_config());
+  AuctionService restored(tiny_config());
+  {
+    std::istringstream in(envelope.str());
+    migrated.load_migration(in);
+  }
+  {
+    std::istringstream in(checkpoint.str());
+    restored.load_state(in);
+  }
+  Request run_now;
+  run_now.op = Op::kRunNow;
+  run_now.id = 10;
+  const Response expected = service.apply(run_now);
+  ASSERT_TRUE(expected.ok) << expected.error;
+  EXPECT_EQ(service.platform().last_result().tasks_assigned_to(2), 0);
+  for (AuctionService* twin : {&migrated, &restored}) {
+    EXPECT_TRUE(twin->platform().is_withdrawn(2));
+    EXPECT_EQ(format_response(twin->apply(run_now)),
+              format_response(expected));
+    ASSERT_FALSE(twin->records().empty());
+    EXPECT_EQ(twin->records().back(), service.records().back());
+  }
+
   withdraw.id = 2;
   withdraw.worker = "ghost";
   r = service.apply(withdraw);

@@ -5,7 +5,7 @@
 // every prefix), the composed-container matrix the router's restore must
 // reject (including a bare shard body at top level), the structured
 // missing-resume-checkpoint error, and the build-info pinning of every
-// format version a binary speaks.
+// format version a binary speaks against the bytes its writers emit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,10 @@
 #include "svc/service.h"
 #include "svc/trace_log.h"
 #include "svc/wire.h"
+#include "util/binio.h"
 #include "util/build_info.h"
+
+#include "scratch_path.h"
 
 namespace melody::svc {
 namespace {
@@ -228,9 +231,11 @@ std::string composed_bytes(int shards) {
   return out.str();
 }
 
-/// Restore `bytes` through a file into a fresh K-shard deployment.
+/// Restore `bytes` through a file into a fresh K-shard deployment. The file
+/// is per test case: ctest -j runs the cases that share this helper at once.
 void restore_bytes(int shards, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/melody_composed_neg.ckpt";
+  const std::string path =
+      testing_support::scratch_path("melody_composed_neg.ckpt");
   {
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     file << bytes;
@@ -357,9 +362,30 @@ TEST(ResumeCheckpoint, TraceHeaderPinsTheResumePath) {
 
 // ------------------------------------------------------- build info --
 
+/// The u32 version field every binary container carries after its 8-byte
+/// magic.
+int version_field(const std::string& bytes) {
+  std::istringstream in(bytes.substr(8));
+  return static_cast<int>(util::binio::read_u32(in, "version"));
+}
+
 TEST(BuildInfo, PinsEveryFormatVersion) {
+  // The mirrors in format_versions() are checked against the version field
+  // of the bytes each writer actually emits.
+  const auto service = warm_service();
+  std::ostringstream snapshot, body, migration, composed;
+  service->platform().save(snapshot);
+  service->save_state(body);
+  service->save_migration(migration);
+  ShardedService(sharded_config(2)).save_state(composed);
+
   const util::FormatVersions v = util::format_versions();
   EXPECT_EQ(v.proto, kProtoVersion);
+  EXPECT_EQ(v.snapshot, version_field(snapshot.str()));
+  EXPECT_EQ(v.service_checkpoint, version_field(body.str()));
+  EXPECT_EQ(v.composed_checkpoint, version_field(composed.str()));
+  EXPECT_EQ(v.migration, version_field(migration.str()));
+  EXPECT_EQ(v.snapshot, 3);
   EXPECT_EQ(v.service_checkpoint, 3);
   EXPECT_EQ(v.composed_checkpoint, 2);
   EXPECT_EQ(v.trace, 1);
@@ -367,8 +393,8 @@ TEST(BuildInfo, PinsEveryFormatVersion) {
 
   const std::string line = util::build_info_line("melody_test");
   EXPECT_EQ(line.find("melody_test "), 0u);
-  for (const char* tag : {"proto=", "checkpoint=", "composed=", "trace=",
-                          "migration="}) {
+  for (const char* tag : {"proto=", "snapshot=", "checkpoint=", "composed=",
+                          "trace=", "migration="}) {
     EXPECT_NE(line.find(tag), std::string::npos) << tag;
   }
   EXPECT_FALSE(util::build_git_sha().empty());
